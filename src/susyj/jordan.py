@@ -101,11 +101,6 @@ def _nullspace(m: np.ndarray, floor: float) -> np.ndarray:
     return vh[rank:].conj().T
 
 
-def _rank(m: np.ndarray, floor: float) -> int:
-    sv = np.linalg.svd(m, compute_uv=False)
-    return int(np.sum(sv > floor))
-
-
 def _cluster_eigenvalues(eigs: np.ndarray, tol: float) -> list[list[int]]:
     """Single-linkage clustering with radius ``tol``."""
     n = len(eigs)

@@ -52,6 +52,8 @@ class ContinuumFamily:
     included); ``components`` the spatial factors.  ``norm_fn`` records the
     branch normalization whose removal (``numerator_expr``) is single-valued
     in complex k, which is what the analytic-continuation limit checks use.
+    ``band_transforms`` holds each continuum-transform k-band already computed
+    on this family (see ``_continuum_apply``), so it lives as long as the family.
     """
 
     def __init__(self, coefficient_fns, components, norm_fn=None,
@@ -61,6 +63,7 @@ class ContinuumFamily:
         self.norm_fn = norm_fn or (lambda k: 1.0)
         self.eigenvalue_fn = eigenvalue_fn or (lambda k: k * k)
         self.k_excluded = tuple(k_excluded)
+        self.band_transforms: dict = {}
 
     def expr(self, k: complex) -> FuncExpr:
         k = complex(k)
@@ -713,10 +716,6 @@ class ROIReport:
     k_window: float
     results: tuple[ROITestResult, ...]
 
-    @property
-    def worst_error(self) -> float:
-        return max((r.extrapolated_error for r in self.results), default=0.0)
-
 
 def _worker_count() -> int:
     try:
@@ -748,8 +747,10 @@ class _InnerProducts:
         self.nodes, self.weights = nodes, weights
         self.window = window
         fv = f.values(self.nodes)
-        self.base = [self.weights * fv * c.values(self.nodes)
-                     for c in family.components]
+        products = [self.weights * fv * c.values(self.nodes) for c in family.components]
+        # columns Re b_0, Im b_0, Re b_1, Im b_1, ...: one real matmul serves
+        # every component
+        self.base = np.column_stack([part for b in products for part in (b.real, b.imag)])
         self.power_tail = power_tail
         if power_tail:
             self.boundary = []
@@ -764,20 +765,19 @@ class _InnerProducts:
     def component_integrals_pm(self, ks: np.ndarray):
         """I_j(+k) and I_j(-k) for an array of positive frequencies.
 
-        The phase matrix is built once per chunk and conjugate-reused for the
-        negative frequencies.  Fixed chunk size keeps the arithmetic tree (and
-        hence the bits) independent of the worker count.
+        Returned as two (len(ks), n_components) arrays.  Each chunk of the
+        phase kx takes one real matmul of cos(kx) and one of sin(kx) against
+        the real and imaginary parts of the bases, which give both signs of k.
+        Fixed chunk size keeps the arithmetic tree (and hence the bits)
+        independent of the worker count.
         """
         ks = np.asarray(ks, dtype=float)
-        plus = [np.zeros(len(ks), dtype=complex) for _ in self.base]
-        minus = [np.zeros(len(ks), dtype=complex) for _ in self.base]
         chunks = [(i, min(i + 64, len(ks))) for i in range(0, len(ks), 64)]
 
         def do_chunk(bounds):
             lo, hi = bounds
-            ph = np.exp(1j * np.outer(ks[lo:hi], self.nodes))
-            phc = np.conj(ph)
-            return ([ph @ b for b in self.base], [phc @ b for b in self.base])
+            phase = np.outer(ks[lo:hi], self.nodes)
+            return np.cos(phase) @ self.base, np.sin(phase) @ self.base
 
         workers = _worker_count()
         if workers > 1 and len(chunks) > 1:
@@ -785,10 +785,13 @@ class _InnerProducts:
                 parts = list(pool.map(do_chunk, chunks))
         else:
             parts = [do_chunk(c) for c in chunks]
-        for (lo, hi), (vp, vm) in zip(chunks, parts):
-            for j in range(len(self.base)):
-                plus[j][lo:hi] = vp[j]
-                minus[j][lo:hi] = vm[j]
+        cos_b = np.vstack([c for c, _ in parts])
+        sin_b = np.vstack([s for _, s in parts])
+        re_c, im_c = cos_b[:, 0::2], cos_b[:, 1::2]
+        re_s, im_s = sin_b[:, 0::2], sin_b[:, 1::2]
+        # (cos kx +- i sin kx)(Re b + i Im b)
+        plus = (re_c - im_s) + 1j * (im_c + re_s)
+        minus = (re_c + im_s) + 1j * (im_c - re_s)
         if self.power_tail:
             for sign_k, out in ((+1, plus), (-1, minus)):
                 ik = 1j * sign_k * ks
@@ -797,7 +800,7 @@ class _InnerProducts:
                         g0, g1, g2 = bnd[side]
                         phase = np.exp(ik * side * self.window)
                         term = g0 / ik - g1 / ik ** 2 + g2 / ik ** 3
-                        out[j] += -phase * term if side > 0 else phase * term
+                        out[:, j] += -phase * term if side > 0 else phase * term
         return plus, minus
 
     def d_batch_pm(self, ks: np.ndarray):
@@ -807,8 +810,8 @@ class _InnerProducts:
         d_plus = np.zeros(len(ks), dtype=complex)   # d(k) needs I_j(-k)
         d_minus = np.zeros(len(ks), dtype=complex)  # d(-k) needs I_j(+k)
         for j, cf in enumerate(self.family.coefficient_fns):
-            d_plus += np.array([complex(cf(-k)) for k in ks]) * minus[j]
-            d_minus += np.array([complex(cf(k)) for k in ks]) * plus[j]
+            d_plus += np.array([complex(cf(-k)) for k in ks]) * minus[:, j]
+            d_minus += np.array([complex(cf(k)) for k in ks]) * plus[:, j]
         return d_plus, d_minus
 
 
@@ -861,10 +864,26 @@ def _k_bands(k_lo: float, k_hi: float) -> list[tuple[float, float]]:
     return bands
 
 
+def _band_transform(family: ContinuumFamily, f: FuncExpr, a: float, b: float,
+                    window: float, power_tail: bool, x_scale: float):
+    """k-nodes, weights and (d(+k), d(-k)) of the band a <= k <= b."""
+    inner = _InnerProducts(family, f, a, b, window, power_tail)
+    # oscillation scale of d(k) is set by where the integrand mass sits
+    # (core region); far-tail components are tiny and need no resolution
+    l_eff = min(inner.window, 20.0)
+    width = min(np.pi / (2 * (x_scale + l_eff)), (b - a) / 8.0)
+    nodes, weights = qd.gk_nodes(a, b, width)
+    return nodes, weights, inner.d_batch_pm(nodes)
+
+
 def _continuum_apply(family: ContinuumFamily, f: FuncExpr, xs: np.ndarray,
-                     k_lo: float, k_hi: float, weight_fn=None,
-                     band_cache: dict | None = None) -> np.ndarray:
-    """int_{k_lo <= |k| <= k_hi} psi(x;k) d(k) [weight_fn(k)] dk on the grid xs."""
+                     k_lo: float, k_hi: float, weight_fn=None) -> np.ndarray:
+    """int_{k_lo <= |k| <= k_hi} psi(x;k) d(k) [weight_fn(k)] dk on the grid xs.
+
+    Each band's transform depends only on f, the band edges and the grid's
+    extent, so it is computed once per family and reused by later calls with
+    another lower cutoff or variant on the same test function.
+    """
     exponential = _product_is_exponential(f, family)
     if not exponential and k_lo <= 1e-9:
         raise ClassMismatch(
@@ -876,20 +895,11 @@ def _continuum_apply(family: ContinuumFamily, f: FuncExpr, xs: np.ndarray,
 
     total = np.zeros(len(xs), dtype=complex)
     for a, b in _k_bands(max(k_lo, 0.0), k_hi):
-        key = (round(a, 12), round(b, 12))
-        inner = band_cache.get(key) if band_cache is not None else None
-        if inner is None:
-            inner = _InnerProducts(family, f, a, b, window,
-                                   power_tail=not exponential)
-            if band_cache is not None:
-                band_cache[key] = inner
-        # oscillation scale of d(k) is set by where the integrand mass sits
-        # (core region); far-tail components are tiny and need no resolution
-        l_eff = min(inner.window, 20.0)
-        width = min(np.pi / (2 * (x_scale + l_eff)), (b - a) / 8.0)
-        nodes, weights = qd.gk_nodes(a, b, width)
-
-        d_pm = inner.d_batch_pm(nodes)
+        key = (f, a, b, x_scale)
+        if key not in family.band_transforms:
+            family.band_transforms[key] = _band_transform(
+                family, f, a, b, window, not exponential, x_scale)
+        nodes, weights, d_pm = family.band_transforms[key]
         phase = np.exp(1j * np.outer(nodes, xs))
         for sign, d in zip((+1, -1), d_pm):
             ks = sign * nodes
@@ -979,10 +989,8 @@ def resolution_of_identity(bundle: ModelBundle, test_fns, eps_seq=(0.1, 0.05, 0.
         per_eps = []
         recons = []
         attribution = {}
-        band_cache: dict = {}
         for eps in eps_seq:
-            cont = _continuum_apply(bundle.continuum, f, xs, eps, k_window,
-                                    band_cache=band_cache)
+            cont = _continuum_apply(bundle.continuum, f, xs, eps, k_window)
             counter = -psi0_grid * (i0 / (np.pi * eps))
             if variant == VARIANT_MODIFIED:
                 g = fc.mul(psi0, f)

@@ -124,13 +124,6 @@ class DiffOperator:
     def __neg__(self) -> "DiffOperator":
         return self.scale(-1.0)
 
-    def leading_constant(self, x_sample=(0.3, -1.7, 2.4)) -> complex:
-        """Value of the top coefficient, which must be constant in x."""
-        vals = [self.coefficients[-1].evaluate(x) for x in x_sample]
-        if max(abs(v - vals[0]) for v in vals) > 1e-10 * (1 + abs(vals[0])):
-            raise ValueError("leading coefficient is not constant")
-        return vals[0]
-
 
 def _is_zero_const(e) -> bool:
     return isinstance(e, fc.Const) and e.value == 0

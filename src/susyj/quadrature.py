@@ -67,7 +67,8 @@ def adaptive_complex(values_fn, a: float, b: float, spec: QuadratureSpec = DEFAU
                      initial_panels: int = 8) -> tuple[complex, float]:
     """Adaptive G7/K15 integral of a complex integrand over [a, b].
 
-    ``values_fn`` maps a float array to complex values.  Panels whose
+    ``values_fn`` maps a float array to complex values and is called once per
+    level, on the nodes of every panel of that level.  Panels whose
     Gauss/Kronrod discrepancy exceeds their share of the tolerance budget are
     bisected, at most ``spec.max_levels`` times.  Returns (value, error bound).
     """
@@ -75,35 +76,35 @@ def adaptive_complex(values_fn, a: float, b: float, spec: QuadratureSpec = DEFAU
         return 0j, 0.0
     span = b - a
     edges = np.linspace(a, b, max(1, initial_panels) + 1)
-    work = [(lo, hi, 0) for lo, hi in zip(edges[:-1], edges[1:])]
-    # first sweep fixes the tolerance budget from a crude whole-interval value
-    rough = 0j
-    for lo, hi, _ in work:
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        rough += half * np.sum(_W_KRON * values_fn(mid + half * _NODES))
-    budget = max(spec.abs_tol, spec.rel_tol * abs(rough)) / span
-
+    lo, hi = edges[:-1], edges[1:]
     total = 0j
     err = 0.0
-    while work:
-        xs = np.concatenate([0.5 * (lo + hi) + 0.5 * (hi - lo) * _NODES
-                             for lo, hi, _ in work])
-        vals = np.asarray(values_fn(xs), dtype=complex).reshape(len(work), 15)
-        next_work = []
-        for (lo, hi, depth), v in zip(work, vals):
-            half = 0.5 * (hi - lo)
-            ik = half * np.sum(_W_KRON * v)
-            ig = half * np.sum(_W_GAUSS * v)
-            e = abs(ik - ig)
-            if e <= budget * (hi - lo) or depth >= spec.max_levels:
-                total += ik
-                err += e
-            else:
-                mid = 0.5 * (lo + hi)
-                next_work.append((lo, mid, depth + 1))
-                next_work.append((mid, hi, depth + 1))
-        work = next_work
-    return total, err
+    depth = 0
+    while True:
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        xs = (mid[:, None] + half[:, None] * _NODES).ravel()
+        vals = np.asarray(values_fn(xs), dtype=complex).reshape(len(lo), 15)
+        ik = half * np.sum(_W_KRON * vals, axis=1)
+        ig = half * np.sum(_W_GAUSS * vals, axis=1)
+        d = ik - ig
+        # hypot is the scalar abs(); the vectorized complex abs rounds differently
+        e = np.hypot(d.real, d.imag)
+        if depth == 0:
+            # the first level fixes the tolerance budget from a crude
+            # whole-interval value, its panel sums added left to right
+            rough = 0j
+            for v in ik:
+                rough += v
+            budget = max(spec.abs_tol, spec.rel_tol * abs(rough)) / span
+        done = (e <= budget * (hi - lo)) | (depth >= spec.max_levels)
+        for v, ev in zip(ik[done], e[done]):
+            total += v
+            err += ev
+        if done.all():
+            return total, err
+        lo, mid, hi = lo[~done], mid[~done], hi[~done]
+        lo, hi = np.column_stack([lo, mid]).ravel(), np.column_stack([mid, hi]).ravel()
+        depth += 1
 
 
 # -- decay classification ------------------------------------------------------

@@ -33,6 +33,62 @@ def test_adaptive_oscillatory_complex():
     assert abs(v - np.sqrt(np.pi) * np.exp(-4.0)) < 1e-10
 
 
+def _adaptive_panel_by_panel(values_fn, a, b, spec, initial_panels):
+    """Reference adaptive G7/K15: one integrand call per initial panel to fix
+    the budget, then one per level, with panel sums taken one row at a time."""
+    edges = np.linspace(a, b, initial_panels + 1)
+    work = [(lo, hi, 0) for lo, hi in zip(edges[:-1], edges[1:])]
+    rough = 0j
+    for lo, hi, _ in work:
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        rough += half * np.sum(qd._W_KRON * values_fn(mid + half * qd._NODES))
+    budget = max(spec.abs_tol, spec.rel_tol * abs(rough)) / (b - a)
+    total, err = 0j, 0.0
+    while work:
+        xs = np.concatenate([0.5 * (lo + hi) + 0.5 * (hi - lo) * qd._NODES
+                             for lo, hi, _ in work])
+        vals = np.asarray(values_fn(xs), dtype=complex).reshape(len(work), 15)
+        next_work = []
+        for (lo, hi, depth), v in zip(work, vals):
+            half = 0.5 * (hi - lo)
+            ik = half * np.sum(qd._W_KRON * v)
+            e = abs(ik - half * np.sum(qd._W_GAUSS * v))
+            if e <= budget * (hi - lo) or depth >= spec.max_levels:
+                total += ik
+                err += e
+            else:
+                mid = 0.5 * (lo + hi)
+                next_work += [(lo, mid, depth + 1), (mid, hi, depth + 1)]
+        work = next_work
+    return total, err
+
+
+# integrands with complex Gauss/Kronrod discrepancies, where a vectorized
+# complex abs() rounds differently from the scalar one
+OSCILLATORY = fc.mul(GAUSS, fc.exp(fc.mul(fc.const(1 + 4j), fc.X)))
+POWER_LAW = fc.mul(PSI0, fc.quot(fc.const(1.0), fc.X - fc.const(-2 + 0.5j)))
+
+
+@pytest.mark.parametrize("integrand, a, b, panels, spec", [
+    (OSCILLATORY, -8.0, 8.0, 16, qd.DEFAULT_QUAD),
+    (POWER_LAW, -40.0, 40.0, 40, qd.DEFAULT_QUAD),
+    # tolerance out of reach: every level bisects until max_levels stops it
+    (POWER_LAW, -40.0, 40.0, 40, qd.QuadratureSpec(1e-17, 1e-17, max_levels=3)),
+])
+def test_adaptive_one_call_per_level_same_bits(integrand, a, b, panels, spec):
+    calls = []
+
+    def values_fn(xs):
+        calls.append(len(xs))
+        return integrand.values(xs)
+
+    got = qd.adaptive_complex(values_fn, a, b, spec, panels)
+    assert len(calls) <= spec.max_levels + 1
+    assert calls[0] == 15 * panels
+    ref = _adaptive_panel_by_panel(integrand.values, a, b, spec, panels)
+    assert got == ref
+
+
 def test_classify_growing_cosh():
     cls = qd.classify(fc.cosh(ALPHA * fc.X), +1)
     assert not cls.normalizable
