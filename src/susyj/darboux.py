@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import funcalc as fc
-from .errors import SingularIntermediate, SingularPartner
+from .errors import ModelError, SingularIntermediate, SingularPartner
 from .funcalc import FuncExpr
 from .operators import DEFAULT_GRID, DiffOperator, GridSpec, Hamiltonian, JordanChain
 
@@ -87,7 +87,7 @@ class TransformationBasis:
         for chain in self.chains():
             worst = max(worst, chain_residual(self.source, chain, grid))
         if worst > tol:
-            raise ValueError(f"basis entries violate chain relations: residual {worst:.3e}")
+            raise ModelError(f"basis entries violate chain relations: residual {worst:.3e}")
         return worst
 
     def to_json(self) -> str:

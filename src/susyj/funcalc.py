@@ -10,12 +10,18 @@ complex values.
 Expressions are immutable after construction and safe to share between
 threads.  No simplification is performed beyond constant folding (constants
 are combined, zero terms and unit factors absorbed); equality of expressions
-is decided numerically, never structurally.
+is decided numerically (:func:`equal_numeric`).  Internally each node carries
+a structural id, equal for structurally identical subtrees, that keys the
+evaluation memos so that every distinct subexpression is evaluated once per
+call; it is not an equality API.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
+import weakref
 
 import numpy as np
 
@@ -34,12 +40,13 @@ class FuncExpr:
     (:func:`const`, :data:`X`, :func:`sinh`, ...) or the arithmetic operators.
     """
 
-    __slots__ = ("_dx", "_dp", "_pnames")
+    __slots__ = ("_dx", "_dp", "_pnames", "_sid", "__weakref__")
 
     def __init__(self):
         self._dx = None
         self._dp = None
         self._pnames = None
+        self._sid = None
 
     # -- construction helpers ------------------------------------------------
 
@@ -90,7 +97,7 @@ class FuncExpr:
         return np.asarray(out, dtype=complex)
 
     def _ev(self, x, params, memo):
-        key = id(self)
+        key = self._sid or _sid(self)
         hit = memo.get(key)
         if hit is None:
             hit = self._ev_node(x, params, memo)
@@ -133,6 +140,10 @@ class FuncExpr:
     def children(self):
         return ()
 
+    def _skey(self):
+        """Structural key: node type, exponent and the children's ids."""
+        return (type(self), None, tuple(map(_sid, self.children())))
+
     def param_names(self):
         """Set of parameter names occurring in the expression (cached)."""
         if self._pnames is None:
@@ -171,6 +182,31 @@ class FuncExpr:
         raise NotImplementedError
 
 
+# Structural ids.  ``_INTERN`` maps a structural key to one live node that
+# carries the key's id; it holds its nodes weakly, so an entry lives no longer
+# than the expressions that use it.  Ids come from a counter and are never
+# reused within the process, so equal ids always mean equal structure.  The converse is
+# best-effort: two threads keying the same structure at once, or a structure
+# rebuilt after its representative died, get distinct ids and only lose
+# sharing.
+_SIDS = itertools.count(1)
+_INTERN = weakref.WeakValueDictionary()
+
+
+def _sid(node) -> int:
+    """Structural id of ``node``, assigned on first use."""
+    if node._sid is None:
+        key = node._skey()
+        rep = None if key is None else _INTERN.get(key)
+        if rep is None:
+            node._sid = next(_SIDS)
+            if key is not None:
+                _INTERN[key] = node
+        else:
+            node._sid = rep._sid
+    return node._sid
+
+
 def _lift(v):
     if isinstance(v, FuncExpr):
         return v
@@ -191,6 +227,13 @@ class Const(FuncExpr):
 
     def _diff(self, wrt):
         return _ZERO
+
+    def _skey(self):
+        # NaN never shares an id; the signs keep 0.0 and -0.0 apart
+        v = self.value
+        if v != v:
+            return None
+        return (Const, v, math.copysign(1.0, v.real), math.copysign(1.0, v.imag))
 
     def conjugate(self):
         return Const(self.value.conjugate())
@@ -254,6 +297,9 @@ class Param(FuncExpr):
 
     def _diff(self, wrt):
         return _ONE if wrt == self.name else _ZERO
+
+    def _skey(self):
+        return (Param, self.name)
 
     def conjugate(self):
         return self
@@ -408,6 +454,9 @@ class PowInt(FuncExpr):
 
     def _diff(self, wrt):
         return mul(Const(self.exponent), powi(self.base, self.exponent - 1), self.base._diff(wrt))
+
+    def _skey(self):
+        return (PowInt, self.exponent, (_sid(self.base),))
 
     def _map_children(self, f):
         return powi(f(self.base), self.exponent)
@@ -616,7 +665,7 @@ def tanh(e) -> FuncExpr:
 
 
 def _jet(f, x, order, params, memo):
-    key = id(f)
+    key = f._sid or _sid(f)
     hit = memo.get(key)
     if hit is None:
         hit = _jet_node(f, x, order, params, memo)

@@ -26,6 +26,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -105,7 +106,6 @@ class ModelBundle:
     chains_minus: tuple[JordanChain, ...]
     chains_plus: tuple[JordanChain, ...]
     continuum: ContinuumFamily | None
-    symmetry_op: DiffOperator | None
     symmetry_eigenvalue_fn: object | None
     symmetry_zero_modes: tuple[FuncExpr, ...]
     grid: GridSpec
@@ -118,6 +118,14 @@ class ModelBundle:
         if self.continuum is None or 0.0 in self.continuum.k_excluded:
             return None
         return self.continuum.expr(0.0)
+
+    @cached_property
+    def symmetry_op(self) -> DiffOperator | None:
+        """R = q- d/dx q+, composed on first read when the model declares
+        its eigenvalues; only the symmetry checks read it."""
+        if self.symmetry_eigenvalue_fn is None:
+            return None
+        return self.q_minus.compose(DiffOperator.d_dx().compose(self.q_plus))
 
 
 def _verify_bundle(bundle: ModelBundle, tol_intertwine=1e-8, tol_chain=1e-9):
@@ -154,10 +162,6 @@ def _verify_bundle(bundle: ModelBundle, tol_intertwine=1e-8, tol_chain=1e-9):
         raise ModelError(f"kernel annihilation residual out of tolerance: {diag}")
     if worst_chain > tol_chain:
         raise ModelError(f"chain residual out of tolerance: {diag}")
-
-
-def _symmetry_operator(q_minus: DiffOperator, q_plus: DiffOperator) -> DiffOperator:
-    return q_minus.compose(DiffOperator.d_dx().compose(q_plus))
 
 
 def _rank2_grid(alpha, x0):
@@ -210,7 +214,6 @@ def model_rank2(alpha: float, x0: float, z: complex,
         norm_fn=lambda k: a2 + k * k,
     )
 
-    r5 = _symmetry_operator(q_minus, q_plus)
     bundle = ModelBundle(
         name="rank2",
         parameters={"alpha": alpha, "x0": x0, "z": z},
@@ -220,7 +223,6 @@ def model_rank2(alpha: float, x0: float, z: complex,
         chains_minus=(JordanChain(lam0, (phi0p, phi1p)),),
         chains_plus=(),
         continuum=continuum,
-        symmetry_op=r5,
         symmetry_eigenvalue_fn=lambda k: 1j * k * (k * k + a2) ** 2,
         symmetry_zero_modes=(phi0p, phi1p),
         grid=grid,
@@ -304,7 +306,6 @@ def model_two_level(alpha: float, beta: float, x0: float, z: complex,
         norm_fn=branch_norm,
     )
 
-    r5 = _symmetry_operator(q_minus, q_plus)
     bundle = ModelBundle(
         name="two_level",
         parameters={"alpha": alpha, "beta": beta, "x0": x0, "z": z},
@@ -314,7 +315,6 @@ def model_two_level(alpha: float, beta: float, x0: float, z: complex,
         chains_minus=(JordanChain(lam_p, (psi_p,)), JordanChain(lam_m, (psi_m,))),
         chains_plus=(),
         continuum=continuum,
-        symmetry_op=r5,
         symmetry_eigenvalue_fn=lambda k: 1j * k * ((k * k + a2b2) ** 2 - fourab),
         symmetry_zero_modes=(psi_p, psi_m),
         grid=grid,
@@ -362,7 +362,7 @@ def model_inverse_square(z: complex, n: int = 1,
             q_minus=None, q_plus=None,
             kernel_minus=None, kernel_plus=None,
             chains_minus=(chain,), chains_plus=(),
-            continuum=None, symmetry_op=None, symmetry_eigenvalue_fn=None,
+            continuum=None, symmetry_eigenvalue_fn=None,
             symmetry_zero_modes=(), grid=grid, continuum_threshold=0.0,
             notes=("resolution of identity unsupported for n > 1",),
         )
@@ -381,7 +381,6 @@ def model_inverse_square(z: complex, n: int = 1,
         components=(fc.const(1.0), psi0),
         k_excluded=(0.0,),
     )
-    r3 = _symmetry_operator(q_minus, q_plus)
     bundle = ModelBundle(
         name="inverse_square", parameters={"z": z, "n": n},
         h_plus=FREE_HAMILTONIAN, h_minus=h_minus,
@@ -389,7 +388,6 @@ def model_inverse_square(z: complex, n: int = 1,
         kernel_minus=kernel_minus, kernel_plus=kernel_plus,
         chains_minus=(chain,), chains_plus=(),
         continuum=continuum,
-        symmetry_op=r3,
         symmetry_eigenvalue_fn=lambda k: 1j * k ** 3,
         symmetry_zero_modes=(psi0,),
         grid=grid,
@@ -1229,7 +1227,7 @@ def model_from_config(config: dict) -> ModelBundle:
         q_minus=q_minus, q_plus=q_minus.transpose(),
         kernel_minus=kernel_minus, kernel_plus=kernel_plus,
         chains_minus=tuple(chains_minus), chains_plus=(),
-        continuum=None, symmetry_op=None, symmetry_eigenvalue_fn=None,
+        continuum=None, symmetry_eigenvalue_fn=None,
         symmetry_zero_modes=(), grid=grid, continuum_threshold=None,
     )
     _verify_bundle(bundle)
