@@ -235,7 +235,8 @@ def suite_symmetry(bundle, tol, report):
         _check("commutation", rep.commutation_residual, tol["intertwine"]),
         _check("antisymmetry", rep.antisymmetry_defect, tol["symmetry_antisymmetry"]),
         _check("eigenvalues", rep.max_eigenvalue_residual, tol["symmetry_eigenvalue"]),
-        _check("zero_modes", max(rep.zero_mode_residuals), tol["symmetry_zero_mode"]),
+        _check("zero_modes", float(np.max(rep.zero_mode_residuals)),
+               tol["symmetry_zero_mode"]),
     ]
     if rep.constant_image_spread is not None:
         checks.append(_check("zero_energy_constant_image",

@@ -646,7 +646,8 @@ class SymmetryReport:
 
     @property
     def max_eigenvalue_residual(self) -> float:
-        return max(self.eigenvalue_residuals.values(), default=0.0)
+        # np.max propagates NaN, where Python's max(0.0, nan) drops it
+        return float(np.max(list(self.eigenvalue_residuals.values()), initial=0.0))
 
 
 def symmetry_check(bundle: ModelBundle, k_values=(0.7, 1.3)) -> SymmetryReport:
@@ -660,13 +661,11 @@ def symmetry_check(bundle: ModelBundle, k_values=(0.7, 1.3)) -> SymmetryReport:
     commut = intertwining_residual(bundle.h_minus, bundle.h_minus, r,
                                    default_probes(), grid)
 
-    rt = r.transpose()
-    neg = -r
-    anti = 0.0
-    for a, b in zip(rt.coefficients, neg.coefficients):
-        pts = fc.chebyshev_points(grid.x_min / 2, grid.x_max / 2, 32)
-        av, bv = a.values(pts), b.values(pts)
-        anti = max(anti, float((np.abs(av - bv) / (1 + np.abs(bv))).max()))
+    # R^t from the coefficients' jets: transposing symbolically would
+    # differentiate R's coefficient trees up to order(R)
+    pts = fc.chebyshev_points(grid.x_min / 2, grid.x_max / 2, 32)
+    neg = -np.array([w.values(pts) for w in r.coefficients])
+    anti = float(np.max(np.abs(r.transpose_values(pts) - neg) / (1 + np.abs(neg))))
 
     eig_res = {}
     for k in k_values:

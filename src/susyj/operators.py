@@ -2,9 +2,13 @@
 
 Operators act on expressions symbolically: application, formal transpose
 (d/dx -> -d/dx with coefficients moved to the left), and composition all
-return closed-form objects.  Residual routines evaluate identities on a grid
-and report relative defects, normalized so that exponentially growing formal
-solutions do not inflate the estimates.
+return closed-form objects.  The transpose's coefficients can also be read on
+points from Taylor jets of the coefficients (``transpose_values``), which
+builds no derivative tree; the symmetry checks use that route for large
+composed operators, at the cost of the jets' rounding in place of exact
+rewriting.  Residual routines evaluate identities on a grid and report
+relative defects, normalized so that exponentially growing formal solutions
+do not inflate the estimates.
 """
 
 from __future__ import annotations
@@ -105,6 +109,21 @@ class DiffOperator:
                 term = fc.mul(fc.const((-1.0) ** k * comb(k, j)), dw[k - j])
                 out[j] = fc.add(out[j], term)
         return DiffOperator(out)
+
+    def transpose_values(self, xs, params=None) -> np.ndarray:
+        """Coefficients of the formal transpose on the points, shape (order+1, len(xs)).
+
+        Row j is sum_{k>=j} (-1)^k C(k, j) w_k^(k-j), read from one jet of
+        each w_k; no derivative tree is built.  Agrees with the values of
+        :meth:`transpose` up to rounding, not bit for bit.
+        """
+        n = self.order
+        out = np.zeros((n + 1, len(np.atleast_1d(xs))), dtype=complex)
+        for k, w in enumerate(self.coefficients):
+            dw = fc.derivative_values(w, xs, k, params)
+            for j in range(k + 1):
+                out[j] += (-1.0) ** k * comb(k, j) * dw[k - j]
+        return out
 
     def compose(self, other: "DiffOperator") -> "DiffOperator":
         """Operator equal to ``self`` applied after ``other``."""

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from susyj import cli
 from susyj import darboux as dx
 from susyj import funcalc as fc
 from susyj import jordan as jd
@@ -222,6 +223,109 @@ def test_symmetry_inverse_square(threshold):
     expected = op.DiffOperator((fc.mul(fc.const(-3.0), u3), fc.mul(fc.const(3.0), u2),
                                 fc.const(0.0), fc.const(-1.0)))
     assert op.operators_equal(threshold.symmetry_op, expected)
+
+
+def _half_grid_points(bundle):
+    """The 32 Chebyshev points on which symmetry_check compares R^t with -R."""
+    return fc.chebyshev_points(bundle.grid.x_min / 2, bundle.grid.x_max / 2, 32)
+
+
+def test_transpose_values_match_symbolic_transpose(rank2, threshold):
+    pts = _half_grid_points(rank2)
+    for q in (rank2.h_minus.as_operator(), rank2.q_minus, threshold.symmetry_op):
+        symbolic = np.array([w.values(pts) for w in q.transpose().coefficients])
+        jets = q.transpose_values(pts)
+        assert jets.shape == symbolic.shape == (q.order + 1, len(pts))
+        assert np.max(np.abs(jets - symbolic) / (1 + np.abs(symbolic))) <= 1e-13
+
+
+def _symmetry_checks(bundle):
+    report = cli.run_suites(bundle, ["symmetry"], dict(cli.DEFAULT_TOLERANCES))
+    return {c["name"]: c for c in report["suites"]["symmetry"]["checks"]}
+
+
+def test_antisymmetry_check_sees_perturbed_r():
+    bundle = md.model_rank2(ALPHA, X0, Z)
+    assert _symmetry_checks(bundle)["antisymmetry"]["passed"]
+    r = bundle.symmetry_op
+    for size in (1e-6, float("nan")):
+        bump = fc.mul(fc.const(size), GAUSS)
+        bundle.symmetry_op = op.DiffOperator((fc.add(r.coefficients[0], bump),)
+                                             + r.coefficients[1:])
+        assert not _symmetry_checks(bundle)["antisymmetry"]["passed"]
+
+
+def test_symmetry_nan_residuals_fail_their_checks(monkeypatch, rank2):
+    nan = float("nan")
+    rep = md.SymmetryReport(0.0, 0.0, {0.7: 0.0, 1.3: nan}, (0.0, nan), None)
+    assert np.isnan(rep.max_eigenvalue_residual)
+    monkeypatch.setattr(md, "symmetry_check", lambda bundle: rep)
+    checks = _symmetry_checks(rank2)
+    assert not checks["eigenvalues"]["passed"]
+    assert not checks["zero_modes"]["passed"]
+
+
+def _mp_program(expr):
+    """The distinct structures of an expression tree, children first, as
+    (node, child positions) pairs; the last one is the root."""
+    position, program = {}, []
+
+    def visit(node):
+        if id(node) not in position:
+            kids = tuple(visit(c) for c in node.children())
+            key = (type(node), getattr(node, "exponent", None),
+                   getattr(node, "value", None), kids)
+            if key not in position:
+                position[key] = len(program)
+                program.append((node, kids))
+            position[id(node)] = position[key]
+        return position[id(node)]
+
+    visit(expr)
+    return program
+
+
+def _mp_value(program, x):
+    """Value of a compiled tree at x in mpmath's working precision."""
+    import mpmath
+    unary = {fc.Exp: mpmath.exp, fc.Sinh: mpmath.sinh, fc.Cosh: mpmath.cosh,
+             fc.Tanh: mpmath.tanh}
+    vals = []
+    for node, kids in program:
+        args = [vals[i] for i in kids]
+        if isinstance(node, fc.Const):
+            v = mpmath.mpc(node.value)
+        elif isinstance(node, fc.Var):
+            v = x
+        elif isinstance(node, fc.Sum):
+            v = mpmath.fsum(args)
+        elif isinstance(node, fc.Product):
+            v = mpmath.fprod(args)
+        elif isinstance(node, fc.Quotient):
+            v = args[0] / args[1]
+        elif isinstance(node, fc.PowInt):
+            v = args[0] ** node.exponent
+        else:
+            v = unary[type(node)](args[0])
+        vals.append(v)
+    return vals[-1]
+
+
+def test_transpose_values_against_mpmath():
+    # row 0 of R^t is sum_k (-1)^k w_k^(k); R itself evaluated at 40 digits,
+    # with mpmath's own high-precision differences for the derivatives
+    mpmath = pytest.importorskip("mpmath")
+    bundle = md.model_rank2(2.2497, 0.1463, 0.0249 + 0.6785j)
+    r = bundle.symmetry_op
+    pts = _half_grid_points(bundle)
+    row0 = r.transpose_values(pts)[0]
+    w0 = r.coefficients[0].values(pts)
+    programs = [_mp_program(w) for w in r.coefficients]
+    with mpmath.workdps(40):
+        want = np.array([complex(mpmath.fsum(
+            (-1) ** k * mpmath.diff(lambda t, p=p: _mp_value(p, t), mpmath.mpf(x), k)
+            for k, p in enumerate(programs))) for x in pts])
+    assert np.max(np.abs(row0 - want) / (1 + np.abs(w0))) <= 1e-9
 
 
 def test_confluence_exact_route(rank2):
